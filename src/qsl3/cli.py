@@ -19,7 +19,7 @@ from . import __version__, qcomb
 from .canonical import (canonical_basis, sigma_closure_check,
                         verify_family, verify_expr)
 from .errors import (AntisymmetryFailure, DomainError, IntegralityFailure,
-                     NonterminatingCorrection, RealizationError, SpanFailure)
+                     NonterminatingCorrection, RealizationError)
 from .laurent import NotDivisible
 from .linalg import Inconsistent
 from .modules import build_highest_module, build_lowest_module
@@ -35,8 +35,7 @@ EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
 
 _INTEGRITY_ERRORS = (AntisymmetryFailure, IntegralityFailure, Inconsistent,
-                     NonterminatingCorrection, NotDivisible, RealizationError,
-                     SpanFailure)
+                     NonterminatingCorrection, NotDivisible, RealizationError)
 
 
 def _emit(payload: dict, out_path) -> None:

@@ -16,10 +16,6 @@ class RealizationError(Exception):
     non-integral structure constant)."""
 
 
-class SpanFailure(Exception):
-    """The word budget was exhausted before a weight space was spanned."""
-
-
 class IntegralityFailure(Exception):
     """A value that must lie in Z[v, v^-1] came out properly fractional."""
 

@@ -171,6 +171,47 @@ class ModuleRealization:
             return dict(vec)
         return _apply_columns(self.divided_columns(gen, n), vec)
 
+    def pbw_images(self, kind: str) -> list:
+        """Images of each basis vector under the PBW monomials of one half.
+
+        Entry j maps (n1, n12, n2) to the nonzero vector
+        X1^(n1) X12^(n12) X2^(n2) b_j (rightmost factor first), where X is
+        E for kind "e" and F for kind "f", and the root vectors are
+        E12 = E2 E1 - v^-1 E1 E2 and F12 = F1 F2 - v F2 F1.  A root
+        divided power is the n-th power over [n]!; the table is computed
+        once per module.
+        """
+        key = ("pbw", kind)
+        table = self._divided.get(key)
+        if table is not None:
+            return table
+        g1, g2 = (kind, 1), (kind, 2)
+        c1, c2 = self.columns[g1], self.columns[g2]
+        if kind == "e":       # E2 E1 - v^-1 E1 E2
+            first, second, scale = c1, c2, vpow(-1)
+        else:                 # F1 F2 - v F2 F1
+            first, second, scale = c2, c1, vpow(1)
+        root = []
+        for j in range(self.dim):
+            col = _apply_columns(second, first[j])
+            for r, p in _apply_columns(first, second[j]).items():
+                s = col.get(r, ZERO) - scale * p
+                if s:
+                    col[r] = s
+                else:
+                    col.pop(r, None)
+            root.append(col)
+        table = []
+        for j in range(self.dim):
+            images = {}
+            for n2, x2 in _divided_orbit(c2, {j: ONE}):
+                for n12, x12 in _divided_orbit(root, x2):
+                    for n1, x1 in _divided_orbit(c1, x12):
+                        images[(n1, n12, n2)] = x1
+            table.append(images)
+        with self._lock:
+            return self._divided.setdefault(key, table)
+
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -198,6 +239,20 @@ def _apply_columns(cols: list, vec: dict) -> dict:
             else:
                 out.pop(r, None)
     return out
+
+
+def _divided_orbit(cols: list, vec: dict):
+    """(n, X^(n) vec) for n = 0, 1, ... while the image is nonzero.
+
+    X^(n) vec = X X^(n-1) vec / [n]; the division is exact because divided
+    powers preserve the integral span of the basis.
+    """
+    n = 0
+    while vec:
+        yield n, vec
+        n += 1
+        d = qint(n)
+        vec = {r: p.exact_div(d) for r, p in _apply_columns(cols, vec).items()}
 
 
 def _extract_realization(ambient, labels, seed_vec, seed_weight, letter, kind, params):

@@ -4,18 +4,31 @@ T = V(-s*w1 - t*w2) (x) V(a*w1 + b*w2) carries the standard basis of pairs
 (b1, b1') of monomial labels, acting through the coproduct, and the
 bar-semilinear involution Psi that pins down the canonical basis.
 
-Psi is characterized cyclically: it fixes the generating vector xi (x) eta,
-and it intertwines the algebra action through the bar involution,
-Psi(u x) = bar(u) Psi(x).  Since divided-power generator words are bar
-fixed and their images span every weight space, the matrix of Psi on a
-weight space is rho = W bar(W)^-1, where the columns of W are the images
-of enough words.  Entries of rho must land in Z[v, v^-1]; together with
-unitriangularity (for the pair order) and bar(rho) rho = 1 this is checked
-on every build.
+Psi fixes the generating vector xi (x) eta and intertwines the algebra
+action through the bar involution, Psi(u x) = bar(u) Psi(x).  On this
+tensor product it is Lusztig's quasi-R-matrix Theta applied after the
+coordinatewise bar, so the matrix of Psi on a weight space is the matrix
+rho of Theta (Lusztig, Introduction to Quantum Groups, Thm 4.1.2 and
+Ch. 24).  Theta factors over the positive roots in the convex order
+alpha1, alpha1+alpha2, alpha2 (Kirillov-Reshetikhin 1990):
 
-Computed rho blocks are cached on disk, keyed by the space parameters and
-the cache schema version (override the location with QSL3_CACHE_DIR; set it
-empty to disable).
+    Theta = Theta_1 Theta_12 Theta_2,
+    Theta_r = sum_n c(n) F_r^(n) (x) E_r^(n),
+    c(n) = (-1)^n v^(-n(n-1)/2) (v - v^-1)^n [n]!,
+
+with the root vectors F12 = F1 F2 - v F2 F1 acting on the lowest-weight
+factor and E12 = E2 E1 - v^-1 E1 E2 on the highest-weight factor.  The
+column of rho at the pair (b, b') is therefore the sum over (n1, n12, n2)
+of c(n1) c(n12) c(n2) (F1^(n1) F12^(n12) F2^(n2) b) (x)
+(E1^(n1) E12^(n12) E2^(n2) b'), read from the PBW tables of the two
+modules.  Every block is checked to be integral, unitriangular for the
+pair order and to satisfy bar(rho) rho = 1.
+
+Computed rho blocks are cached on disk (override the location with
+QSL3_CACHE_DIR; set it empty to disable), one append-only file
+rho_s_t_a_b.jsonl per space: a header line with the cache schema, the
+package version and the parameters, then one JSON record per weight
+space.  Loaded blocks are verified like built ones.
 """
 
 from __future__ import annotations
@@ -24,17 +37,18 @@ import json
 import os
 import sys
 import threading
+from functools import lru_cache
 from pathlib import Path
 
 from ._version import __version__
-from .errors import IntegralityFailure, SpanFailure
-from .labels import SHAPE121, SHAPE212, MonomialLabel, Weight
-from .laurent import LaurentPoly, NotDivisible, ONE, ZERO
+from .errors import IntegralityFailure
+from .labels import MonomialLabel, Weight
+from .laurent import LaurentPoly, ONE, vpow
 from .modules import build_highest_module, build_lowest_module
-from .linalg import LaurentEchelon, solve_laurent
+from .qcomb import qfact
 
-CACHE_SCHEMA = 1
-DEFAULT_WORD_BUDGET = 60
+# A change to the construction of rho or to the file format bumps this.
+CACHE_SCHEMA = 2
 
 _cache_dir_override = None
 _registry: dict = {}
@@ -213,61 +227,6 @@ def vec_add_scaled(acc: dict, coeff: LaurentPoly, vec: dict) -> None:
             acc.pop(k, None)
 
 
-def _root_coordinates(delta: Weight) -> tuple:
-    """Express delta in the simple-root basis; weights of one tensor space
-    always differ by a root-lattice element."""
-    n1, d1 = divmod(2 * delta.w1 + delta.w2, 3)
-    n2, d2 = divmod(delta.w1 + 2 * delta.w2, 3)
-    if d1 or d2:
-        raise ValueError(f"{delta} is not in the root lattice")
-    return n1, n2
-
-
-def _labels_of_grade(n1: int, n2: int) -> list:
-    """All canonical monomial labels with letter counts (n1, n2)."""
-    out = []
-    if n1 >= n2:
-        for x in range(n2 + 1):
-            out.append(MonomialLabel(SHAPE212, x, n1, n2 - x))
-    else:
-        for x in range(n1 + 1):
-            out.append(MonomialLabel(SHAPE121, x, n2, n1 - x))
-    return out
-
-
-def _label_seq(label: MonomialLabel, kind: str) -> tuple:
-    """Application-order divided-power sequence of a monomial word."""
-    return tuple(((kind, gi), e) for gi, e in reversed(label.factors()))
-
-
-def _spanning_words(space: TensorSpace, weight: Weight, budget: int):
-    """Bar-fixed generator words whose images can span the weight space.
-
-    Breadth-first by total exponent sum; for each raising/lowering grade the
-    lowering-after-raising order comes first, then the opposite order.
-    """
-    n1, n2 = _root_coordinates(weight - space.zeta)
-    for total in range(0, budget + 1):
-        rest = total - abs(n1) - abs(n2)
-        if rest < 0 or rest % 2:
-            continue
-        batches = ([], [])
-        for m1 in range(max(n1, 0), max(n1, 0) + rest // 2 + 1):
-            m2 = (total + n1 + n2) // 2 - m1
-            k1, k2 = m1 - n1, m2 - n2
-            if m2 < max(n2, 0) or k2 < 0:
-                continue
-            for e_lab in _labels_of_grade(m1, m2):
-                eseq = _label_seq(e_lab, "e")
-                for f_lab in _labels_of_grade(k1, k2):
-                    fseq = _label_seq(f_lab, "f")
-                    batches[0].append(eseq + fseq)
-                    if eseq and fseq:
-                        batches[1].append(fseq + eseq)
-        yield from batches[0]
-        yield from batches[1]
-
-
 class _PsiBlock:
     __slots__ = ("indices", "pos", "cols")
 
@@ -280,9 +239,8 @@ class _PsiBlock:
 class PsiOperator:
     """Per-weight-space matrices of the involution, built lazily."""
 
-    def __init__(self, space: TensorSpace, budget: int = DEFAULT_WORD_BUDGET):
+    def __init__(self, space: TensorSpace):
         self.space = space
-        self.budget = budget
         self._blocks: dict = {}
         self._lock = threading.Lock()
         self._store = _CacheStore(space.params)
@@ -296,9 +254,9 @@ class PsiOperator:
         with self._lock:
             blk = self._blocks.get(weight)
             if blk is None:
-                blk = _build_block(self.space, weight, self.budget)
+                blk = _build_block(self.space, weight)
                 self._blocks[weight] = blk
-                self._store.save(self.space, self._blocks)
+                self._store.save(weight, blk)
         return blk
 
     def ensure_all(self) -> None:
@@ -328,13 +286,14 @@ class PsiOperator:
 
     def blocks_json(self) -> dict:
         self.ensure_all()
-        return _blocks_to_json(self._blocks)
+        return {f"{w.w1},{w.w2}": _block_json(blk)
+                for w, blk in sorted(self._blocks.items(),
+                                     key=lambda kv: kv[0].as_tuple())}
 
 
-def build_psi(space: TensorSpace, budget: int = DEFAULT_WORD_BUDGET) -> PsiOperator:
+def build_psi(space: TensorSpace) -> PsiOperator:
     """Construct the involution with every weight-space block forced."""
     op = space.psi()
-    op.budget = budget
     op.ensure_all()
     return op
 
@@ -343,45 +302,46 @@ def psi_apply(op: PsiOperator, vec: dict) -> dict:
     return op.apply(vec)
 
 
-def _build_block(space: TensorSpace, weight: Weight, budget: int) -> _PsiBlock:
+@lru_cache(maxsize=None)
+def _theta_coefficient(n1: int, n12: int, n2: int) -> LaurentPoly:
+    """c(n1) c(n12) c(n2), c(n) = (-1)^n v^(-n(n-1)/2) (v - v^-1)^n [n]!."""
+    out = ONE
+    for n in (n1, n12, n2):
+        c = (vpow(1) - vpow(-1)) ** n * qfact(n)
+        out = out * (c if n % 2 == 0 else -c).shifted(-n * (n - 1) // 2)
+    return out
+
+
+def _build_block(space: TensorSpace, weight: Weight) -> _PsiBlock:
+    """rho on one weight space: the column of each pair is Theta applied to
+    it, summed over the PBW monomials both factors admit."""
     indices = space.weight_spaces[weight]
-    d = len(indices)
     pos = {p: r for r, p in enumerate(indices)}
-
-    word_cols = []
-    ech = LaurentEchelon(d)
-    for seq in _spanning_words(space, weight, budget):
-        vec = space.apply_prefix(seq)
-        if not vec:
-            continue
-        dense = [ZERO] * d
-        for k, c in vec.items():
-            dense[pos[k]] = c
-        if ech.add(dense):
-            word_cols.append(dense)
-            if len(word_cols) == d:
-                break
-    if len(word_cols) < d:
-        raise SpanFailure(
-            f"weight space {weight} of T{space.params}: rank {len(word_cols)}"
-            f" of {d} within word budget {budget}")
-
-    # rho * bar(W) = W, solved through the transpose: bar(W)^T rho^T = W^T
-    barw_t = [[word_cols[c][r].bar() for r in range(d)] for c in range(d)]
-    w_t = [[word_cols[i][k] for i in range(d)] for k in range(d)]
-    det, sols, rank, free = solve_laurent(barw_t, w_t)
-    cols = [dict() for _ in range(d)]
-    for r in range(d):
-        sol = sols[r]
-        for c, val in sol.items():
-            try:
-                entry = val.exact_div(det)
-            except NotDivisible as exc:
-                raise IntegralityFailure(
-                    f"rho entry outside Z[v,v^-1] at weight {weight} of "
-                    f"T{space.params}") from exc
-            if entry:
-                cols[c][r] = entry
+    pair_pos = space.pair_pos
+    low = space.low.pbw_images("f")
+    high = space.high.pbw_images("e")
+    cols = []
+    for p in indices:
+        iL, iH = space.pairs[p]
+        raising = high[iH]
+        col: dict = {}
+        for mono, vec_low in low[iL].items():
+            vec_high = raising.get(mono)
+            if vec_high is None:
+                continue
+            coeff = _theta_coefficient(*mono)
+            for jL, cL in vec_low.items():
+                cc = coeff * cL
+                for jH, cH in vec_high.items():
+                    r = pos[pair_pos[(jL, jH)]]
+                    add = cc * cH
+                    s = col.get(r)
+                    s = add if s is None else s + add
+                    if s:
+                        col[r] = s
+                    else:
+                        col.pop(r, None)
+        cols.append(col)
     _verify_block(space, weight, indices, cols)
     return _PsiBlock(indices, cols)
 
@@ -401,8 +361,10 @@ def _verify_block(space, weight, indices, cols) -> None:
     for c in range(d):
         acc: dict = {}
         for r, e in cols[c].items():
+            eb = e.bar()
             for r2, e2 in cols[r].items():
-                add = e.bar() * e2
+                # the diagonal is already known to be 1
+                add = e2 if r == c else eb if r2 == r else eb * e2
                 s = acc.get(r2)
                 s = add if s is None else s + add
                 if s:
@@ -417,50 +379,63 @@ def _verify_block(space, weight, indices, cols) -> None:
 # -- disk cache ---------------------------------------------------------------
 
 
-def _blocks_to_json(blocks: dict) -> dict:
-    out = {}
-    for w, blk in sorted(blocks.items(), key=lambda kv: kv[0].as_tuple()):
-        out[f"{w.w1},{w.w2}"] = {
-            "pairs": blk.indices,
-            "rho": [[[r, e.to_json()] for r, e in sorted(col.items())]
-                    for col in blk.cols],
-        }
-    return out
+def _block_json(blk: _PsiBlock) -> dict:
+    return {
+        "pairs": blk.indices,
+        "rho": [[[r, e.to_json()] for r, e in sorted(col.items())]
+                for col in blk.cols],
+    }
 
 
 class _CacheStore:
+    """One append-only file per space: a header line, then one JSON record
+    per weight space, each appended by a single write."""
+
     def __init__(self, params):
         self.params = params
+        self.header = {"schema": CACHE_SCHEMA, "version": __version__,
+                       "params": list(params)}
 
     def _path(self):
         base = cache_dir()
         if base is None:
             return None
         s, t, a, b = self.params
-        return base / f"rho_{s}_{t}_{a}_{b}.json"
+        return base / f"rho_{s}_{t}_{a}_{b}.jsonl"
 
     def load(self, space) -> dict:
+        """Every block of the file, each checked like a built one; a file
+        that fails to parse or to verify is reported and deleted."""
         path = self._path()
-        if path is None or not path.exists():
+        if path is None:
             return {}
         try:
-            data = json.loads(path.read_text())
-            if (data.get("schema") != CACHE_SCHEMA
-                    or data.get("version") != __version__
-                    or data.get("params") != list(self.params)):
-                return {}
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return {}
+        # a last line without its newline is a record still being written
+        lines = data.split(b"\n")[:-1]
+        try:
+            if not lines or json.loads(lines[0]) != self.header:
+                raise ValueError("header does not match this build")
             blocks = {}
-            for key, payload in data.get("blocks", {}).items():
-                w1, w2 = (int(x) for x in key.split(","))
-                w = Weight(w1, w2)
-                indices = payload["pairs"]
+            for line in lines[1:]:
+                record = json.loads(line)
+                w = Weight(*record["weight"])
+                if w in blocks:
+                    continue
+                indices = record["pairs"]
                 if indices != space.weight_spaces.get(w):
-                    return {}
+                    raise ValueError(f"pairs of weight {w} do not match the space")
+                d = len(indices)
                 cols = [{int(r): LaurentPoly.from_json(e) for r, e in col}
-                        for col in payload["rho"]]
+                        for col in record["rho"]]
+                if len(cols) != d or any(not 0 <= r < d for col in cols for r in col):
+                    raise ValueError(f"malformed rho at weight {w}")
+                _verify_block(space, w, indices, cols)
                 blocks[w] = _PsiBlock(indices, cols)
             return blocks
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, IntegralityFailure) as exc:
             print(f"qsl3: ignoring corrupt rho cache {path}: {exc}", file=sys.stderr)
             try:
                 path.unlink()
@@ -468,20 +443,38 @@ class _CacheStore:
                 pass
             return {}
 
-    def save(self, space, blocks: dict) -> None:
+    def save(self, weight: Weight, blk: _PsiBlock) -> None:
         path = self._path()
         if path is None:
             return
+        record = {"weight": list(weight.as_tuple()), **_block_json(blk)}
+        line = (json.dumps(record, separators=(",", ":")) + "\n").encode()
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "schema": CACHE_SCHEMA,
-                "version": __version__,
-                "params": list(self.params),
-                "blocks": _blocks_to_json(blocks),
-            }
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(payload))
-            tmp.replace(path)
+            if not path.exists():
+                self._create(path)
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            try:
+                if os.write(fd, line) != len(line):
+                    raise OSError("short write")
+            finally:
+                os.close(fd)
         except OSError as exc:
             print(f"qsl3: cannot write rho cache {path}: {exc}", file=sys.stderr)
+
+    def _create(self, path: Path) -> None:
+        """Publish the file with its header in place: the header goes to a
+        private O_EXCL file that is then linked to the shared name, so no
+        writer ever sees the file without its first line."""
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            try:
+                os.write(fd, (json.dumps(self.header) + "\n").encode())
+            finally:
+                os.close(fd)
+            os.link(tmp, path)
+        except FileExistsError:
+            pass
+        finally:
+            tmp.unlink(missing_ok=True)

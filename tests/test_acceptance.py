@@ -196,6 +196,9 @@ def test_a3_involution_integrity():
         sp = get_tensor_space(*params)
         op = build_psi(sp)     # block build verifies Laurent, diagonal,
         n_spaces += 1          # triangularity and bar(rho) rho = 1
+        # with the intertwining checks below, fixing the cyclic vector
+        # determines psi uniquely
+        assert op.apply({sp.unit_index: ONE}) == {sp.unit_index: ONE}
         for k in range(sp.dim):
             x = {k: ONE}
             assert op.apply(op.apply(x)) == x

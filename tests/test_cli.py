@@ -151,7 +151,7 @@ def test_cache_dir_flag(tmp_path, capsys):
         code = main(["--cache-dir", str(tmp_path), "psi", "--params", "0,2,2,0",
                      "--out", str(tmp_path / "x.json")])
         assert code == 0
-        assert list(tmp_path.glob("rho_0_2_2_0.json"))
+        assert list(tmp_path.glob("rho_0_2_2_0.jsonl"))
     finally:
         tensor.set_cache_dir(None)
         tensor._registry.pop((0, 2, 2, 0), None)

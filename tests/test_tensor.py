@@ -1,5 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import qsl3
 
 from qsl3.labels import Weight
 from qsl3.laurent import LaurentPoly, ONE, V, vpow
@@ -139,25 +145,19 @@ def test_psi_preserves_weight_spaces():
             assert sp.pair_weight[k2] == sp.pair_weight[k]
 
 
-def test_psi_matrix_independent_of_word_budget():
-    # a fresh space built with a tighter-but-sufficient budget reproduces rho
-    sp1 = get_tensor_space(1, 0, 1, 0)
-    op1 = build_psi(sp1)
-    sp2 = TensorSpace(1, 0, 1, 0)
-    op2 = build_psi(sp2, budget=12)
-    for w, idxs in sp1.weight_spaces.items():
-        b1, b2 = op1.block(w), op2.block(w)
-        assert b1.cols == b2.cols
+def _cache_lines(tmp_path):
+    files = list(tmp_path.glob("rho_*"))
+    assert len(files) == 1
+    return files[0], [json.loads(line) for line in files[0].read_text().splitlines()]
 
 
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("QSL3_CACHE_DIR", str(tmp_path))
     sp = TensorSpace(1, 0, 0, 1)
     op = build_psi(sp)
-    files = list(tmp_path.glob("rho_*.json"))
-    assert len(files) == 1
-    data = json.loads(files[0].read_text())
-    assert data["schema"] == 1 and data["params"] == [1, 0, 0, 1]
+    path, lines = _cache_lines(tmp_path)
+    assert path.name == "rho_1_0_0_1.jsonl"
+    assert lines[0]["schema"] == 2 and lines[0]["params"] == [1, 0, 0, 1]
     # a fresh operator loads every block from disk and agrees
     sp2 = TensorSpace(1, 0, 0, 1)
     op2 = sp2.psi()
@@ -166,18 +166,111 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
         assert op2.block(w).cols == op.block(w).cols
 
 
+def test_disk_cache_writes_each_block_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("QSL3_CACHE_DIR", str(tmp_path))
+    sp = TensorSpace(1, 1, 1, 0)
+    sp.psi().ensure_all()
+    _, lines = _cache_lines(tmp_path)
+    header, records = lines[0], lines[1:]
+    assert set(header) == {"schema", "version", "params"}
+    weights = [tuple(rec["weight"]) for rec in records]
+    assert sorted(weights) == sorted(w.as_tuple() for w in sp.weight_spaces)
+
+
+def test_disk_cache_two_writers_leave_a_loadable_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QSL3_CACHE_DIR", str(tmp_path))
+    params = (1, 0, 1, 1)
+    ops = [TensorSpace(*params).psi() for _ in range(2)]
+    weights = sorted(ops[0].space.weight_spaces, key=Weight.as_tuple)
+    # both operators start from an empty directory, so each weight is
+    # appended twice, once by each
+    for w in weights[::2]:
+        ops[0].block(w)
+    ops[1].ensure_all()
+    ops[0].ensure_all()
+    _, lines = _cache_lines(tmp_path)
+    assert sum("schema" in line for line in lines) == 1
+    assert len(lines) - 1 == 2 * len(weights)
+    loaded = TensorSpace(*params).psi()
+    assert capsys.readouterr().err == ""
+    assert set(loaded._blocks) == set(weights)
+    for w in weights:
+        assert loaded._blocks[w].cols == ops[0].block(w).cols
+
+
+def test_disk_cache_concurrent_processes_leave_a_loadable_file(tmp_path, monkeypatch, capsys):
+    # more writer processes than cores build the same space into one directory
+    params = (2, 1, 1, 1)
+    env = dict(os.environ, QSL3_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=str(Path(qsl3.__file__).parent.parent))
+    code = ("from qsl3.tensor import TensorSpace, build_psi\n"
+            f"build_psi(TensorSpace(*{params}))")
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stderr=subprocess.PIPE, text=True)
+             for _ in range(4)]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and err == "", err
+    _, lines = _cache_lines(tmp_path)
+    assert sum("schema" in line for line in lines) == 1
+    monkeypatch.setenv("QSL3_CACHE_DIR", str(tmp_path))
+    loaded = TensorSpace(*params).psi()
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("QSL3_CACHE_DIR", "")
+    fresh = build_psi(TensorSpace(*params))
+    assert set(loaded._blocks) == set(fresh.space.weight_spaces)
+    for w, blk in loaded._blocks.items():
+        assert blk.cols == fresh.block(w).cols
+
+
 def test_disk_cache_corruption_is_rebuilt(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QSL3_CACHE_DIR", str(tmp_path))
     sp = TensorSpace(0, 1, 1, 0)
     build_psi(sp)
-    path = next(tmp_path.glob("rho_*.json"))
-    path.write_text("{ not json")
+    path = next(tmp_path.glob("rho_*.jsonl"))
+    path.write_text(path.read_text() + "{ not json\n")
     sp2 = TensorSpace(0, 1, 1, 0)
     op2 = build_psi(sp2)
     assert "ignoring corrupt" in capsys.readouterr().err
     for k in range(sp2.dim):
         x = {k: ONE}
         assert op2.apply(op2.apply(x)) == x
+
+
+def test_disk_cache_stale_header_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QSL3_CACHE_DIR", str(tmp_path))
+    build_psi(TensorSpace(0, 1, 1, 0))
+    path = next(tmp_path.glob("rho_*.jsonl"))
+    header, *records = path.read_text().splitlines(keepends=True)
+    stale = dict(json.loads(header), schema=1)
+    path.write_text(json.dumps(stale) + "\n" + "".join(records))
+    op = TensorSpace(0, 1, 1, 0).psi()
+    assert "header does not match" in capsys.readouterr().err
+    assert op._blocks == {}
+
+
+def test_disk_cache_changed_entry_is_rejected(tmp_path, monkeypatch, capsys):
+    # a parseable file with one rho entry changed fails the block checks on
+    # load; it is deleted and the rebuilt involution equals a fresh build
+    monkeypatch.setenv("QSL3_CACHE_DIR", str(tmp_path))
+    params = (1, 1, 1, 1)
+    build_psi(TensorSpace(*params))
+    path = next(tmp_path.glob("rho_*.jsonl"))
+    lines = path.read_text().splitlines()
+    n, record, entry = next(
+        (n, record, entry)
+        for n, record in enumerate(map(json.loads, lines[1:]), 1)
+        for col in record["rho"] for entry in col if entry[1] != ONE.to_json())
+    entry[1] = (LaurentPoly.from_json(entry[1]) + V).to_json()
+    lines[n] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    sp = TensorSpace(*params)
+    op = build_psi(sp)
+    assert "bar(rho) rho != 1" in capsys.readouterr().err
+    monkeypatch.setenv("QSL3_CACHE_DIR", "")
+    fresh = build_psi(TensorSpace(*params))
+    for w in sp.weight_spaces:
+        assert op.block(w).cols == fresh.block(w).cols
 
 
 def test_helper_vector_ops():
