@@ -1,15 +1,19 @@
-"""Canonical bases of tensor products by triangular correction.
+"""Canonical bases of tensor products, read off the involution's matrices.
 
-For each basis pair p the canonical element is the unique involution-fixed
-vector congruent to the standard vector of p modulo the v^-1 lattice.  It
-is computed by the classical correction loop: while d = psi(y) - y is
-nonzero, take a maximal pair q in its support, check that the coefficient
-f_q is bar-antisymmetric with zero constant term, split off its negative
-part gamma (the unique element of v^-1 Z[v^-1] with gamma - bar(gamma) =
-f_q) and replace y by y + gamma * c_q using the already-final canonical
-element at q; the defect coefficient at q then cancels.  Each step kills a maximal support pair and only
-adds strictly smaller ones, so the loop terminates; the antisymmetry that
-makes gamma well defined is asserted, not assumed.
+On each weight space psi(x) = rho bar(x), with rho unitriangular for the
+pair order.  The canonical element at a pair p is the unique psi-fixed
+vector c_p = sum_q pi[q, p] b_q with pi[p, p] = 1 and every other
+coefficient in v^-1 Z[v^-1] (Lusztig, Introduction to Quantum Groups,
+Ch. 24 and 27.3).  Comparing coefficients of psi(c_p) = c_p gives
+
+    pi[r, p] - bar(pi[r, p]) = sum_{r < q <= p} rho[r, q] bar(pi[q, p]),
+
+so pi is found one entry at a time by walking the pairs in descending left
+total degree: the right-hand side f at r only involves pairs already
+passed, and pi[r, p] is its part in negative exponents.  f must be
+bar-antisymmetric with zero constant term for that part to solve the
+equation; this is asserted, not assumed.  Pairs of equal left degree are
+incomparable, so the order among them does not matter.
 
 The same module drives the verification of the closed-form element catalog:
 an admissible catalog element evaluated on an admissible tensor product
@@ -24,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .errors import AntisymmetryFailure, NonterminatingCorrection
+from .errors import AntisymmetryFailure
 from .labels import Weight, in_basis_set
 from .laurent import LaurentPoly, ONE
 from .tensor import TensorSpace, get_tensor_space, vec_add_scaled, vec_sub
@@ -58,54 +62,41 @@ class CanonicalElement:
 def canonical_block(space: TensorSpace, weight: Weight, order_seed=None) -> dict:
     """Canonical elements for every pair in one weight space.
 
-    With the default processing order (ascending left total degree, ties by
-    basis position) results are cached on the space.  ``order_seed``
+    Pairs are walked in descending left total degree, ties by basis
+    position, and the results are cached on the space.  ``order_seed``
     shuffles the order inside equal-degree groups, for uniqueness tests.
     """
     if order_seed is None:
         cached = space._canonical.get(weight)
         if cached is not None:
             return cached
-    psi = space.psi()
-    indices = space.weight_spaces[weight]
-    order = sorted(indices, key=lambda k: (space.trL[k], k))
+    blk = space.psi().block(weight)
+    indices, cols = blk.indices, blk.cols
+    order = list(range(len(indices)))
     if order_seed is not None:
-        rng = random.Random(order_seed)
-        groups: dict = {}
-        for k in order:
-            groups.setdefault(space.trL[k], []).append(k)
-        order = []
-        for tr in sorted(groups):
-            g = groups[tr]
-            rng.shuffle(g)
-            order.extend(g)
+        random.Random(order_seed).shuffle(order)
+    # a stable sort keeps the shuffled order inside equal-degree groups
+    order.sort(key=lambda c: -space.trL[indices[c]])
     elements: dict = {}
-    guard_limit = 4 * len(indices) * len(indices) + 16
-    for p in order:
-        y = {p: ONE}
-        steps = 0
-        while True:
-            d = vec_sub(psi.apply(y), y)
-            if not d:
-                break
-            top = max(space.trL[k] for k in d)
-            q = min(k for k in d if space.trL[k] == top)
-            f = d[q]
+    for i, p in enumerate(order):
+        # acc[r] = sum over the pairs q already passed of rho[r, q] bar(pi[q]),
+        # seeded with the unit at p; diagonal terms land on passed pairs only
+        pi = {p: ONE}
+        acc = dict(cols[p])
+        for r in order[i + 1:]:
+            f = acc.get(r)
+            if f is None:
+                continue
             if f.coeff(0) or not f.is_bar_antisymmetric():
                 raise AntisymmetryFailure(
-                    f"correction coefficient at pair {space.pair_labels(q)} of "
+                    f"correction coefficient at pair {space.pair_labels(indices[r])} of "
                     f"T{space.params} is not bar-antisymmetric: {f.text()}")
-            gamma = LaurentPoly._make({e: c for e, c in f.terms.items() if e < 0})
-            cq = elements.get(q)
-            if cq is None:
-                raise NonterminatingCorrection(
-                    f"support reached unprocessed pair {space.pair_labels(q)}")
-            vec_add_scaled(y, gamma, cq.vector)
-            steps += 1
-            if steps > guard_limit:
-                raise NonterminatingCorrection(
-                    f"correction did not settle at pair {space.pair_labels(p)}")
-        elements[p] = CanonicalElement(pair=p, labels=space.pair_labels(p), vector=y)
+            pi[r] = LaurentPoly._make({e: c for e, c in f.terms.items() if e < 0})
+            vec_add_scaled(acc, pi[r].bar(), cols[r])
+        k = indices[p]
+        elements[k] = CanonicalElement(
+            pair=k, labels=space.pair_labels(k),
+            vector={indices[r]: c for r, c in pi.items()})
     if order_seed is None:
         with _canonical_lock:
             space._canonical.setdefault(weight, elements)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +20,7 @@ from . import __version__, qcomb
 from .canonical import (canonical_basis, sigma_closure_check,
                         verify_family, verify_expr)
 from .errors import (AntisymmetryFailure, DomainError, IntegralityFailure,
-                     NonterminatingCorrection, RealizationError)
+                     RealizationError)
 from .laurent import NotDivisible
 from .linalg import Inconsistent
 from .modules import build_highest_module, build_lowest_module
@@ -35,7 +36,7 @@ EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
 
 _INTEGRITY_ERRORS = (AntisymmetryFailure, IntegralityFailure, Inconsistent,
-                     NonterminatingCorrection, NotDivisible, RealizationError)
+                     NotDivisible, RealizationError)
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -55,6 +56,16 @@ def _parse_ints(text: str, n: int, what: str) -> tuple:
     if len(parts) != n:
         raise DomainError(f"{what} must be {n} comma-separated integers")
     return parts
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return integer
 
 
 # -- identities ---------------------------------------------------------------
@@ -216,8 +227,9 @@ def cmd_verify_all(args) -> int:
     work = [(str(fid), params, args.window, args.full_vectors)
             for fid in fids
             for params in iter_admissible_params(fid, args.max_exp, args.max_weight)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_work_item, work, chunksize=8))
     else:
         reports = [_verify_work_item(item) for item in work]
@@ -288,16 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exps", help="h,k,j,u,v,w")
     p.add_argument("--weight", help="l,m")
     p.add_argument("--expr", help="word in the grammar 'e2^3 e1^4 1[(l,m)] f2^1'")
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--window", type=_int_at_least(0), default=4)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-all", help="sweep families over parameter grids")
     p.add_argument("--families", help="comma-separated ids (default: all 52)")
-    p.add_argument("--max-exp", type=int, default=1)
-    p.add_argument("--max-weight", type=int, default=6)
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-exp", type=_int_at_least(0), default=1)
+    p.add_argument("--max-weight", type=_int_at_least(0), default=6)
+    p.add_argument("--window", type=_int_at_least(0), default=4)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="worker processes, at most one per CPU and per tuple")
     p.add_argument("--full-vectors", action="store_true",
                    help="embed canonical vectors in every certificate")
     p.add_argument("--out")
@@ -307,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--exps", required=True, help="h,k,j,u,v,w")
     p.add_argument("--weight", required=True, help="l,m")
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--window", type=_int_at_least(0), default=4)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sigma_check)
 

@@ -21,8 +21,5 @@ class IntegralityFailure(Exception):
 
 
 class AntisymmetryFailure(Exception):
-    """A triangular-correction coefficient was not bar-antisymmetric."""
-
-
-class NonterminatingCorrection(Exception):
-    """The correction loop failed to shrink its support (bug guard)."""
+    """A coefficient of the canonical-basis recursion was not
+    bar-antisymmetric."""

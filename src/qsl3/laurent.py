@@ -1,18 +1,16 @@
-"""Exact arithmetic in Z[v, v^-1] and its fraction field Q(v).
+"""Exact arithmetic in Z[v, v^-1].
 
 LaurentPoly is the universal coefficient type of the package: quantum
 integers, module structure constants, involution matrices and certificate
 payloads are all Laurent polynomials in one indeterminate v with Python-int
-(hence arbitrary-precision) coefficients.  RatFunc is the reduced fraction
-type that appears transiently inside exact linear solves.
+(hence arbitrary-precision) coefficients.  No computation leaves the ring:
+where a quotient must exist, exact_div finds it or raises NotDivisible.
 
-Both types are immutable and hashable, and every operation is pure, so
-values can be shared freely between threads.
+Values are immutable and hashable, and every operation is pure, so values
+can be shared freely between threads.
 """
 
 from __future__ import annotations
-
-from math import gcd as _int_gcd
 
 
 class NotDivisible(ArithmeticError):
@@ -261,205 +259,3 @@ V = LaurentPoly._make({1: 1})
 def vpow(k: int) -> LaurentPoly:
     """The monomial v^k."""
     return LaurentPoly._make({k: 1})
-
-
-# -- dense Z[v] helpers for gcd reduction ------------------------------------
-#
-# RatFunc normalization needs polynomial gcds.  These run on dense int lists
-# (index = exponent) because the polynomials involved are tiny.
-
-
-def _list_content(p: list) -> int:
-    g = 0
-    for c in p:
-        g = _int_gcd(g, c)
-    return g
-
-
-def _list_prim(p: list):
-    g = _list_content(p)
-    if g in (0, 1):
-        return p, g
-    return [c // g for c in p], g
-
-
-def _list_trim(p: list) -> list:
-    n = len(p)
-    while n and not p[n - 1]:
-        n -= 1
-    return p[:n]
-
-
-def _list_pseudo_rem(a: list, b: list) -> list:
-    """Pseudo-remainder of a by b over Z[v]; b nonzero."""
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    while True:
-        a = _list_trim(a)
-        da = len(a) - 1
-        if da < db:
-            return a
-        la = a[-1]
-        a = [c * lb for c in a]
-        for i, cb in enumerate(b):
-            a[da - db + i] -= la * cb
-        a = _list_trim(a)
-
-
-def _list_gcd(a: list, b: list) -> list:
-    """Gcd in Z[v] (content included), on trimmed dense lists."""
-    a, b = _list_trim(a), _list_trim(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    ca = _list_content(a)
-    cb = _list_content(b)
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
-    while b:
-        r = _list_pseudo_rem(a, b)
-        a, b = b, _list_prim(r)[0] if r else []
-    if a[-1] < 0:
-        a = [-c for c in a]
-    cg = _int_gcd(ca, cb)
-    return [c * cg for c in a]
-
-
-def _poly_to_list(p: LaurentPoly):
-    """Split p = v^shift * (dense poly with nonzero constant term)."""
-    s = p.min_exp()
-    out = [0] * (p.max_exp() - s + 1)
-    for e, c in p.terms.items():
-        out[e - s] = c
-    return s, out
-
-
-def _list_to_poly(lst: list, shift: int = 0) -> LaurentPoly:
-    return LaurentPoly._make({i + shift: c for i, c in enumerate(lst) if c})
-
-
-class RatFunc:
-    """Reduced fraction of Laurent polynomials.
-
-    Normal form: the denominator is an ordinary polynomial with nonzero
-    constant term and positive leading coefficient, and numerator and
-    denominator share no factor (integer content included).  Equal fractions
-    therefore compare equal structurally, which makes RatFunc hashable.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = ZERO, ONE
-            return
-        if den == ONE:
-            self.num, self.den = num, ONE
-            return
-        sn, ln = _poly_to_list(num)
-        sd, ld = _poly_to_list(den)
-        g = _list_gcd(ln, ld)
-        if len(g) > 1 or g[0] != 1:
-            gp = _list_to_poly(g)
-            num2 = _list_to_poly(ln).exact_div(gp)
-            den2 = _list_to_poly(ld).exact_div(gp)
-        else:
-            num2 = _list_to_poly(ln)
-            den2 = _list_to_poly(ld)
-        if den2.terms[den2.max_exp()] < 0:
-            num2, den2 = -num2, -den2
-        self.num = num2.shifted(sn - sd)
-        self.den = den2
-
-    @classmethod
-    def from_int(cls, c: int) -> "RatFunc":
-        return cls(LaurentPoly.const(c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = object.__new__(RatFunc)
-        r.num, r.den = -self.num, self.den
-        return r
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def bar(self) -> "RatFunc":
-        return RatFunc(self.num.bar(), self.den.bar())
-
-    def as_laurent(self) -> LaurentPoly:
-        """Convert back to Z[v, v^-1]; raises NotDivisible if not integral."""
-        if self.den == ONE:
-            return self.num
-        return self.num.exact_div(self.den)
-
-    def is_laurent(self) -> bool:
-        return self.den == ONE
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        if self.den == ONE:
-            return self.num.text()
-        return f"({self.num.text()}) / ({self.den.text()})"
-
-    def __repr__(self):
-        return f"RatFunc({self.num.text()!r}, {self.den.text()!r})"
-
-
-def _coerce(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RatFunc(x)
-    if isinstance(x, int):
-        return RatFunc.from_int(x)
-    return NotImplemented
-
-
-RF_ZERO = RatFunc(ZERO)
-RF_ONE = RatFunc(ONE)

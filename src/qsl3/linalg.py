@@ -1,18 +1,18 @@
-"""Exact linear algebra over Q(v) by fraction-free (Bareiss) elimination.
+"""Fraction-free (Bareiss) linear algebra over Z[v, v^-1].
 
-The forward pass works entirely in Z[v, v^-1]: every update is
+The forward pass works entirely in the ring: every update is
 (pivot*a - b*c) / previous_pivot with an exact ring division, which keeps
 intermediate entries determinant-sized.  Back substitution produces the
 solution scaled by the pivot-block determinant, again staying inside the
-ring; callers divide out the determinant either exactly (when a Laurent
-result is expected) or as a reduced fraction.
+ring; callers divide out the determinant exactly when a Laurent result is
+expected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, RatFunc, ZERO, ONE, _list_gcd, _poly_to_list, _list_to_poly
+from .laurent import LaurentPoly, ZERO, ONE
 
 
 class Inconsistent(Exception):
@@ -21,13 +21,6 @@ class Inconsistent(Exception):
     def __init__(self, rank: int):
         super().__init__(f"inconsistent linear system (rank {rank})")
         self.rank = rank
-
-
-@dataclass
-class SolveResult:
-    solution: list
-    rank: int
-    num_free: int
 
 
 @dataclass
@@ -102,7 +95,7 @@ def _back_substitute(elim: _Elimination, rhs_index: int) -> dict:
 
 
 def solve_laurent(a_rows: list, b_cols: list) -> tuple:
-    """Solve A x = b over Q(v) for each rhs column, fraction-free.
+    """Solve A x = b for each rhs column, fraction-free.
 
     ``a_rows`` is a dense list of LaurentPoly rows, ``b_cols`` a list of rhs
     columns (each a dense list of LaurentPoly of the same height).  Returns
@@ -129,85 +122,6 @@ def rank_laurent(a_rows: list) -> int:
     if not aug:
         return 0
     return _forward(aug, len(aug[0])).rank
-
-
-class ExactMatrix:
-    """Dense rectangular matrix with RatFunc entries."""
-
-    def __init__(self, rows: list):
-        if not rows:
-            raise ValueError("empty matrix")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-        self.rows = [[_as_rf(e) for e in r] for r in rows]
-        self.nrows = len(rows)
-        self.ncols = width
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        one, zero = RatFunc(ONE), RatFunc(ZERO)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> RatFunc:
-        return self.rows[i][j]
-
-    def matvec(self, vec: list) -> list:
-        vec = [_as_rf(x) for x in vec]
-        out = []
-        for row in self.rows:
-            acc = RatFunc(ZERO)
-            for e, x in zip(row, vec):
-                if e and x:
-                    acc = acc + e * x
-            out.append(acc)
-        return out
-
-
-def _as_rf(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RatFunc(x)
-    if isinstance(x, int):
-        return RatFunc.from_int(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
-
-
-def _den_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    if a == ONE:
-        return b
-    if b == ONE:
-        return a
-    _, la = _poly_to_list(a)
-    _, lb = _poly_to_list(b)
-    g = _list_to_poly(_list_gcd(la, lb))
-    return (a * b).exact_div(g)
-
-
-def solve_exact(mat: ExactMatrix, rhs: list) -> SolveResult:
-    """Exact solution of mat * x = rhs.
-
-    Underdetermined systems get free variables set to zero, with the free
-    count reported in the result.  Raises Inconsistent when no solution
-    exists.
-    """
-    if len(rhs) != mat.nrows:
-        raise ValueError("rhs length does not match the matrix")
-    rhs = [_as_rf(x) for x in rhs]
-    lp_rows = []
-    lp_rhs = []
-    for row, b in zip(mat.rows, rhs):
-        den = ONE
-        for e in row:
-            den = _den_lcm(den, e.den)
-        den = _den_lcm(den, b.den)
-        lp_rows.append([e.num * den.exact_div(e.den) for e in row])
-        lp_rhs.append(b.num * den.exact_div(b.den))
-    det, sols, rank, free = solve_laurent(lp_rows, [lp_rhs])
-    w = sols[0]
-    solution = [RatFunc(w.get(c, ZERO), det) for c in range(mat.ncols)]
-    return SolveResult(solution=solution, rank=rank, num_free=len(free))
 
 
 class LaurentEchelon:

@@ -200,10 +200,6 @@ def clear_registry() -> None:
         _registry.clear()
 
 
-def bar_vec(vec: dict) -> dict:
-    return {k: c.bar() for k, c in vec.items()}
-
-
 def vec_sub(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
@@ -296,10 +292,6 @@ def build_psi(space: TensorSpace) -> PsiOperator:
     op = space.psi()
     op.ensure_all()
     return op
-
-
-def psi_apply(op: PsiOperator, vec: dict) -> dict:
-    return op.apply(vec)
 
 
 @lru_cache(maxsize=None)

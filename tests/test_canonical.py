@@ -4,10 +4,11 @@ from qsl3.canonical import (canonical_basis, canonical_block,
                             canonical_element_at, sigma_closure_check,
                             verify_family, verify_canonical, verify_expr,
                             windows_for)
+from qsl3.errors import AntisymmetryFailure
 from qsl3.labels import MonomialLabel, SHAPE212, Weight
 from qsl3.laurent import ONE, V, vpow
 from qsl3.qcomb import qbinom
-from qsl3.tensor import get_tensor_space
+from qsl3.tensor import TensorSpace, _PsiBlock, get_tensor_space
 from qsl3.udot import (FamilyId, UdotExpr, family_element,
                        override_family_binomial, parse_word, word_labels)
 
@@ -172,3 +173,20 @@ def test_canonical_block_is_cached():
     sp = get_tensor_space(1, 0, 1, 0)
     w = Weight(0, 0)
     assert canonical_block(sp, w) is canonical_block(sp, w)
+
+
+def test_tampered_rho_raises_antisymmetry_failure():
+    # with one off-diagonal rho entry set to 1, no pi in v^-1 Z[v^-1] has
+    # pi - bar(pi) = 1; the block is put in place directly, past _verify_block
+    sp = TensorSpace(1, 1, 1, 1)
+    op = sp.psi()
+    w = next(w for w in sp.weight_spaces
+             if any(len(col) > 1 for col in op.block(w).cols))
+    blk = op.block(w)
+    cols = [dict(col) for col in blk.cols]
+    c = next(c for c, col in enumerate(cols) if len(col) > 1)
+    r = next(r for r in cols[c] if r != c)
+    cols[c][r] = ONE
+    op._blocks[w] = _PsiBlock(blk.indices, cols)
+    with pytest.raises(AntisymmetryFailure, match="not bar-antisymmetric"):
+        canonical_block(sp, w)

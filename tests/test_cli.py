@@ -155,3 +155,48 @@ def test_cache_dir_flag(tmp_path, capsys):
     finally:
         tensor.set_cache_dir(None)
         tensor._registry.pop((0, 2, 2, 0), None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--expr", "e1^1 1[(-2,0)] f1^1", "--window", "-1"],
+    ["sigma-check", "--family", "2", "--exps", "0,2,1,1,2,0",
+     "--weight=-2,-1", "--window", "-1"],
+    ["verify-all", "--families", "1", "--max-exp", "-1"],
+    ["verify-all", "--families", "1", "--max-weight", "-1"],
+    ["verify-all", "--families", "1", "--window", "-1"],
+    ["verify-all", "--families", "1", "--jobs", "0"],
+])
+def test_rejects_empty_or_unbounded_requests(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_verify_all_pool_is_capped(capsys, monkeypatch):
+    from qsl3 import cli
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    argv = ["verify-all", "--families", "1", "--max-exp", "0",
+            "--max-weight", "1", "--window", "1", "--jobs", "1000"]
+    for cpus in (3, 100):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, data = run_json(capsys, argv)
+        assert code == 0 and data["config"]["jobs"] == 1000
+        assert data["summary"]["tuples"] == 4
+    # capped by the CPUs, then by the tuples
+    assert sizes == [3, 4]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsl3.laurent import LaurentPoly, NotDivisible, ONE, RatFunc, V, ZERO, vpow
+from qsl3.laurent import LaurentPoly, NotDivisible, ONE, V, ZERO, vpow
 
 
 def lp(**terms):
@@ -95,41 +95,3 @@ def test_hash_and_eq():
     assert hash(V + 1) == hash(LaurentPoly({0: 1, 1: 1}))
     assert (V - V) == 0
     assert ONE == 1
-
-
-def test_ratfunc_normal_form_is_canonical():
-    x = RatFunc(vpow(2) - vpow(-2), V - vpow(-1))
-    assert x.is_laurent() and x.as_laurent() == V + vpow(-1)
-    # the same fraction written two ways compares (and hashes) equal
-    a = RatFunc((V + 1) * LaurentPoly.const(2), LaurentPoly.const(6))
-    b = RatFunc(V + 1, LaurentPoly.const(3))
-    assert a == b and hash(a) == hash(b)
-    # denominator convention: lowest exponent 0, positive leading coefficient
-    c = RatFunc(ONE, -V + vpow(2))
-    assert c.den.min_exp() == 0
-    assert c.den.terms[c.den.max_exp()] > 0
-
-
-def test_ratfunc_arithmetic():
-    half = RatFunc(ONE, LaurentPoly.const(2))
-    assert half + half == RatFunc(ONE)
-    x = RatFunc(V, V - 1)
-    y = RatFunc(ONE, V + 1)
-    assert (x * y) / y == x
-    assert (x - x).is_zero()
-    with pytest.raises(ZeroDivisionError):
-        RatFunc(ONE, ZERO)
-
-
-@given(polys, nonzero_polys, nonzero_polys)
-@settings(max_examples=40)
-def test_ratfunc_cross_multiplication_equality(a, b, c):
-    # num/den == (num*c)/(den*c) structurally after normalization
-    assert RatFunc(a, b) == RatFunc(a * c, b * c)
-
-
-def test_ratfunc_bar():
-    x = RatFunc(V + 2, V - vpow(-1))
-    y = x.bar()
-    assert y == RatFunc(vpow(-1) + 2, vpow(-1) - V)
-    assert y.bar() == x

@@ -11,8 +11,7 @@ from qsl3.labels import Weight
 from qsl3.laurent import LaurentPoly, ONE, V, vpow
 from qsl3.modules import GENS
 from qsl3.qcomb import qint
-from qsl3.tensor import (TensorSpace, bar_vec, build_psi, get_tensor_space,
-                         psi_apply, vec_sub)
+from qsl3.tensor import TensorSpace, build_psi, get_tensor_space, vec_sub
 
 
 def unit(space):
@@ -277,6 +276,5 @@ def test_helper_vector_ops():
     a = {1: V, 2: ONE}
     b = {2: ONE, 3: vpow(-1)}
     assert vec_sub(a, b) == {1: V, 3: -vpow(-1)}
-    assert bar_vec({1: V}) == {1: vpow(-1)}
     sp = get_tensor_space(0, 0, 1, 0)
-    assert psi_apply(sp.psi(), unit(sp)) == unit(sp)
+    assert sp.psi().apply(unit(sp)) == unit(sp)
