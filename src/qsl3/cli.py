@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -38,9 +39,99 @@ EXIT_INTEGRITY = 3
 _INTEGRITY_ERRORS = (AntisymmetryFailure, IntegralityFailure, Inconsistent,
                      NotDivisible, RealizationError)
 
+# The work of one window grows four- to sevenfold per step: checking one
+# word takes seconds at window 6 and over half a minute at window 7.
+MAX_WINDOW = 6
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+_INT_ONLY = {int}
+
+# Per nesting depth: list open, item separator, list close, dict open, dict
+# close.  Built once and shared, so every chunk of the output that is not a
+# scalar is one of these objects.
+_LEVELS: list = []
+
+
+def _level(depth: int) -> tuple:
+    while len(_LEVELS) <= depth:
+        d = len(_LEVELS)
+        inner = "\n" + "  " * (d + 1)
+        outer = "\n" + "  " * d
+        _LEVELS.append(("[" + inner, "," + inner, outer + "]",
+                        "{" + inner, outer + "}"))
+    return _LEVELS[depth]
+
+
+def _write(o, depth: int, out) -> None:
+    if isinstance(o, str):
+        out(_encode_str(o))
+    elif o is None:
+        out("null")
+    elif o is True:
+        out("true")
+    elif o is False:
+        out("false")
+    elif isinstance(o, int):
+        out(_int_repr(o))
+    elif isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"non-finite float {o!r} has no JSON text")
+        out(float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out("[]")
+            return
+        opener, sep, closer, _, _ = _level(depth)
+        if set(map(type, o)) == _INT_ONLY:    # plain ints, no bools
+            out(opener + sep.join(map(_int_repr, o)) + closer)
+            return
+        out(opener)
+        first = True
+        for x in o:
+            if first:
+                first = False
+            else:
+                out(sep)
+            _write(x, depth + 1, out)
+        out(closer)
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        _, sep, _, opener, closer = _level(depth)
+        out(opener)
+        first = True
+        for key, x in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if first:
+                first = False
+            else:
+                out(sep)
+            out(_encode_str(key))
+            out(": ")
+            _write(x, depth + 1, out)
+        out(closer)
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload, indent=2)``, written directly.
+
+    The stdlib's C encoder does not take ``indent``, so its pretty printer
+    runs in pure Python; this writer produces the same text with fewer,
+    mostly shared chunks.  Dict keys must be strings and floats finite.
+    """
+    chunks: list = []
+    _write(payload, 0, chunks.append)
+    return "".join(chunks)
+
 
 def _emit(payload: dict, out_path) -> None:
-    text = json.dumps(payload, indent=2)
+    text = _dumps(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -58,12 +149,15 @@ def _parse_ints(text: str, n: int, what: str) -> tuple:
     return parts
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_range(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than ``low`` and, when given,
+    no larger than ``high``."""
     def integer(text: str) -> int:
         n = int(text)
         if n < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {n}")
         return n
     return integer
 
@@ -212,9 +306,8 @@ def iter_admissible_params(fid: FamilyId, max_exp: int, max_weight: int):
 
 
 def _verify_work_item(item):
-    fam_text, params, window, keep_vectors = item
-    rep = verify_family(FamilyId.parse(fam_text), params, window,
-                           keep_vectors=keep_vectors)
+    fid, params, window, keep_vectors = item
+    rep = verify_family(fid, params, window, keep_vectors=keep_vectors)
     return rep.to_json()
 
 
@@ -224,7 +317,7 @@ def cmd_verify_all(args) -> int:
     else:
         fids = list(ALL_FAMILY_IDS)
     t0 = time.monotonic()
-    work = [(str(fid), params, args.window, args.full_vectors)
+    work = [(fid, params, args.window, args.full_vectors)
             for fid in fids
             for params in iter_admissible_params(fid, args.max_exp, args.max_weight)]
     workers = min(args.jobs, os.cpu_count() or 1, len(work))
@@ -300,16 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exps", help="h,k,j,u,v,w")
     p.add_argument("--weight", help="l,m")
     p.add_argument("--expr", help="word in the grammar 'e2^3 e1^4 1[(l,m)] f2^1'")
-    p.add_argument("--window", type=_int_at_least(0), default=4)
+    p.add_argument("--window", type=_int_range(0, MAX_WINDOW), default=4)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("verify-all", help="sweep families over parameter grids")
     p.add_argument("--families", help="comma-separated ids (default: all 52)")
-    p.add_argument("--max-exp", type=_int_at_least(0), default=1)
-    p.add_argument("--max-weight", type=_int_at_least(0), default=6)
-    p.add_argument("--window", type=_int_at_least(0), default=4)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+    p.add_argument("--max-exp", type=_int_range(0), default=1)
+    p.add_argument("--max-weight", type=_int_range(0), default=6)
+    p.add_argument("--window", type=_int_range(0, MAX_WINDOW), default=4)
+    p.add_argument("--jobs", type=_int_range(1), default=1,
                    help="worker processes, at most one per CPU and per tuple")
     p.add_argument("--full-vectors", action="store_true",
                    help="embed canonical vectors in every certificate")
@@ -320,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--exps", required=True, help="h,k,j,u,v,w")
     p.add_argument("--weight", required=True, help="l,m")
-    p.add_argument("--window", type=_int_at_least(0), default=4)
+    p.add_argument("--window", type=_int_range(0, MAX_WINDOW), default=4)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sigma_check)
 

@@ -28,6 +28,7 @@ import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _cartesian
 
 from .errors import DomainError
@@ -469,7 +470,13 @@ class FamilyElement:
 
 def word_labels(word: UdotWord) -> tuple:
     """Monomial labels of the raising and lowering parts of a word."""
-    seq = list(word.left) + list(word.right)
+    return _factor_labels(word.left + word.right)
+
+
+@lru_cache(maxsize=4096)
+def _factor_labels(seq: tuple) -> tuple:
+    # a sweep meets only a few hundred distinct factor sequences, and the
+    # pattern search in label_from_factors is the costly part
     e_part = [(i, e) for (kind, i), e in seq if kind == "e"]
     f_part = [(i, e) for (kind, i), e in seq if kind == "f"]
     return label_from_factors(e_part), label_from_factors(f_part)
@@ -489,19 +496,17 @@ def family_element(fid: FamilyId, h, k, j, l, m, u, v, w) -> FamilyElement:
             raise DomainError(f"exponent {name} must be nonnegative")
     params = (h, k, j, l, m, u, v, w)
     terms = []
-    leading = None
     for c, e_exps, idem, f_exps in _terms_family(fid.index, *params):
         word = _base_word(fid.index, e_exps, idem, f_exps)
-        if leading is None:
-            leading = word      # the all-zero summation indices come first
+        # sigma and the index swap are injective on words, so mapping the
+        # words before combining gives the terms of expr.sigma() etc.
+        if fid.sigma:
+            word = word.sigma()
+        if fid.swap:
+            word = word.index_swap()
         terms.append((c, word))
+    leading = terms[0][1]       # the all-zero summation indices come first
     expr = UdotExpr(terms)
-    if fid.sigma:
-        expr = expr.sigma()
-        leading = leading.sigma()
-    if fid.swap:
-        expr = expr.index_swap()
-        leading = leading.index_swap()
     adm = _admissible(fid.index, *params)
     labels = None
     zeta = None

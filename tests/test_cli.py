@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qsl3 import qcomb
-from qsl3.cli import main
+from qsl3.cli import _dumps, main
 
 
 def run_json(capsys, argv):
@@ -157,20 +159,31 @@ def test_cache_dir_flag(tmp_path, capsys):
         tensor._registry.pop((0, 2, 2, 0), None)
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--expr", "e1^1 1[(-2,0)] f1^1", "--window", "-1"],
-    ["sigma-check", "--family", "2", "--exps", "0,2,1,1,2,0",
-     "--weight=-2,-1", "--window", "-1"],
-    ["verify-all", "--families", "1", "--max-exp", "-1"],
-    ["verify-all", "--families", "1", "--max-weight", "-1"],
-    ["verify-all", "--families", "1", "--window", "-1"],
-    ["verify-all", "--families", "1", "--jobs", "0"],
-])
-def test_rejects_empty_or_unbounded_requests(capsys, argv):
+_TOO_LOW = "must be at least"
+_TOO_HIGH = "must be at most 6, got 7"
+_REJECTED = [
+    (["verify", "--expr", "e1^1 1[(-2,0)] f1^1", "--window", "-1"], _TOO_LOW),
+    (["sigma-check", "--family", "2", "--exps", "0,2,1,1,2,0",
+      "--weight=-2,-1", "--window", "-1"], _TOO_LOW),
+    (["verify-all", "--families", "1", "--max-exp", "-1"], _TOO_LOW),
+    (["verify-all", "--families", "1", "--max-weight", "-1"], _TOO_LOW),
+    (["verify-all", "--families", "1", "--window", "-1"], _TOO_LOW),
+    (["verify-all", "--families", "1", "--jobs", "0"], _TOO_LOW),
+    # argparse rejects these before any space is built
+    (["verify", "--expr", "e1^1 1[(-2,0)] f1^1", "--window", "7"], _TOO_HIGH),
+    (["sigma-check", "--family", "2", "--exps", "0,2,1,1,2,0",
+      "--weight=-2,-1", "--window", "7"], _TOO_HIGH),
+    (["verify-all", "--families", "1", "--window", "7"], _TOO_HIGH),
+]
+
+
+@pytest.mark.parametrize("argv,message", [pytest.param(argv, message, id=f"argv{n}")
+                                          for n, (argv, message) in enumerate(_REJECTED)])
+def test_rejects_empty_or_unbounded_requests(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_verify_all_pool_is_capped(capsys, monkeypatch):
@@ -200,3 +213,86 @@ def test_verify_all_pool_is_capped(capsys, monkeypatch):
         assert data["summary"]["tuples"] == 4
     # capped by the CPUs, then by the tuples
     assert sizes == [3, 4]
+
+
+# -- the JSON writer ----------------------------------------------------------
+
+_TRICKY = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/",
+                           "é", " ", "\U0001f600", "\ud800"])
+_strings = st.text(alphabet=_TRICKY | st.characters(), max_size=12)
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-2 ** 300, max_value=2 ** 300)
+            | st.floats(allow_nan=False, allow_infinity=False) | _strings)
+_trees = st.recursive(
+    _scalars,
+    lambda kids: (st.lists(kids, max_size=6)
+                  | st.lists(st.integers(), max_size=6)
+                  | st.dictionaries(_strings, kids, max_size=6)),
+    max_leaves=40)
+
+
+@given(_trees)
+def test_dumps_matches_json_indent_2(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2)
+
+
+def test_dumps_tuples_match_and_unsupported_values_raise():
+    for value in [(1, 2), ((), [(3, "a")]), {"t": (True, None)}]:
+        assert _dumps(value) == json.dumps(value, indent=2)
+    for value in [float("nan"), [float("inf")], {"x": -float("inf")}]:
+        with pytest.raises(ValueError):
+            _dumps(value)
+    for value in [{1: "int key"}, {"a": object()}, [b"bytes"], {"s": {1, 2}}]:
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--grid-a", "1,1,1", "--grid-b", "1,1", "--grid-c", "1,1,1"],
+    ["module", "--weight", "1,1"],
+    ["module", "--weight", "1,0", "--lowest"],
+    ["psi", "--params", "1,0,1,0"],
+    ["canbasis", "--params", "1,0,1,1"],
+    ["verify", "--family", "2", "--exps", "0,2,1,1,2,0", "--weight=-2,-1",
+     "--window", "2"],
+    ["verify", "--expr", "e1^1 1[(-1,0)] f1^1", "--window", "2"],
+    ["verify-all", "--families", "2,6p", "--max-exp", "1", "--max-weight", "2",
+     "--window", "1", "--full-vectors"],
+    ["sigma-check", "--family", "2", "--exps", "0,2,1,1,2,0",
+     "--weight=-2,-1", "--window", "2"],
+], ids=lambda argv: argv[0])
+def test_every_payload_is_written_as_json_indent_2(capsys, monkeypatch, argv):
+    from qsl3 import cli
+    payloads = []
+    emit = cli._emit
+
+    def recording_emit(payload, out_path):
+        payloads.append(payload)
+        emit(payload, out_path)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    main(argv)
+    (payload,) = payloads
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+# sha256 of each output as printed before the direct writer, the one-pass
+# family elements and the cached labels, with the '"elapsed' lines dropped
+_GOLDEN = [
+    (["verify-all", "--families", "1,2,6p,8m", "--max-exp", "1",
+      "--max-weight", "3", "--window", "2"],
+     "4322f7aa293a9d2df9d42c9e05c8a6b7af74629dee7f9f94a4c4fcdca14edd63"),
+    (["canbasis", "--params", "1,1,1,1"],
+     "2e060d5af07a6557be4d4e32cccb337869b5415eec9ccca2d6c01d70c7e2672d"),
+    (["psi", "--params", "1,0,1,0"],
+     "5cd9f61d5d5394ad4a56dfebf98fb17d4aa5b61fe63621495566783a328c4dfc"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _GOLDEN, ids=[argv[0] for argv, _ in _GOLDEN])
+def test_output_is_byte_identical_to_recorded(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("QSL3_CACHE_DIR", "")
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    kept = "".join(line for line in lines if '"elapsed' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest

@@ -1,14 +1,16 @@
+from itertools import product
+
 import pytest
 
 from qsl3.errors import DomainError
-from qsl3.labels import MonomialLabel, SHAPE212, Weight
+from qsl3.labels import MonomialLabel, SHAPE212, Weight, label_from_factors
 from qsl3.laurent import LaurentPoly, ONE, V, vpow
 from qsl3.qcomb import qbinom
 from qsl3.tensor import get_tensor_space
 from qsl3.udot import (ALL_FAMILY_IDS, FamilyId, UdotExpr, UdotWord,
-                       evaluate, evaluate_on, family_admissible,
-                       family_element, override_family_binomial,
-                       parse_word, sigma)
+                       _base_word, _terms_family, evaluate, evaluate_on,
+                       family_admissible, family_element,
+                       override_family_binomial, parse_word, sigma)
 
 
 def w(text):
@@ -189,6 +191,44 @@ def test_sigma_family_is_sigma_of_base():
     assert im.admissible == base.admissible
     mir = family_element(FamilyId(2, swap=True), *params)
     assert mir.expr == base.expr.index_swap()
+
+
+def _old_route(fid, params):
+    """A family element built as before: the base family's expression, then
+    UdotExpr.sigma() and .index_swap(), labels by an uncached lookup."""
+    terms = [(c, _base_word(fid.index, e_exps, idem, f_exps))
+             for c, e_exps, idem, f_exps in _terms_family(fid.index, *params)]
+    expr, leading = UdotExpr(terms), terms[0][1]
+    if fid.sigma:
+        expr, leading = expr.sigma(), leading.sigma()
+    if fid.swap:
+        expr, leading = expr.index_swap(), leading.index_swap()
+    labels = zeta = None
+    if family_admissible(fid, *params):
+        seq = list(leading.left) + list(leading.right)
+        labels = (label_from_factors([(i, e) for (kind, i), e in seq if kind == "e"]),
+                  label_from_factors([(i, e) for (kind, i), e in seq if kind == "f"]))
+        zeta = expr.zeta()
+    return expr, leading, labels, zeta
+
+
+def test_one_pass_family_element_matches_old_route():
+    # every exponent tuple at most 1 with k >= h + j and v >= u + w, every
+    # weight with |l|, |m| <= 3, admissible or not
+    rng = range(2)
+    exps = [(h, k, j, u, v, w) for h, k, j, u, v, w in product(rng, repeat=6)
+            if k >= h + j and v >= u + w]
+    checked = admissible = 0
+    for fid in ALL_FAMILY_IDS:
+        for h, k, j, u, v, w in exps:
+            for l, m in product(range(-3, 4), repeat=2):
+                params = (h, k, j, l, m, u, v, w)
+                fe = family_element(fid, *params)
+                assert (fe.expr, fe.leading, fe.labels, fe.zeta) == _old_route(fid, params)
+                checked += 1
+                admissible += fe.admissible
+    assert checked == 52 * 16 * 49
+    assert admissible == 4864
 
 
 def test_family_admissible_helper():
